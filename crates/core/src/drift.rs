@@ -21,7 +21,10 @@
 //!   `PSI = Σ (p_i − q_i) · ln(p_i / q_i)` of the window against the
 //!   uniform reference. Industry folklore reads PSI < 0.1 as stable
 //!   and PSI > 0.25 as significant shift; those are the default
-//!   hysteresis bounds.
+//!   hysteresis bounds. A full window holds exactly `window` rows, so
+//!   each bin's term takes one of `window + 1` values: the detector
+//!   tabulates them once and scores a full window with table lookups
+//!   instead of a logarithm per bin.
 //! * **Hysteresis.** A feature *trips* when its PSI crosses
 //!   [`DriftConfig::psi_alert`] and must stay tripped for
 //!   [`DriftConfig::patience`] consecutive checks before the detector
@@ -61,13 +64,36 @@ pub struct FeatureProfile {
 monitorless_std::json_struct!(FeatureProfile { edges, mean, std });
 
 impl FeatureProfile {
-    /// Bin index of `v` among this feature's equi-depth bins. NaN — for
-    /// which every comparison is false — lands in the last bin, mirroring
-    /// the tree walk's NaN-goes-right convention.
+    /// Bin index of `v` among this feature's equi-depth bins. NaN lands
+    /// in the last bin, mirroring the tree walk's NaN-goes-right
+    /// convention.
     #[inline]
     pub fn bin(&self, v: f64) -> usize {
-        self.edges.partition_point(|e| *e < v)
+        bin_of(&self.edges, v)
     }
+}
+
+/// Bin of `v` among ascending interior `edges`: the number of edges
+/// below it (for sorted edges, exactly `partition_point(|e| e < v)`,
+/// counted without branches), or the last bin for NaN, for which every
+/// comparison is false and the count alone would give the first.
+#[inline]
+fn bin_of(edges: &[f64], v: f64) -> usize {
+    if v.is_nan() {
+        edges.len()
+    } else {
+        edges.iter().map(|e| usize::from(*e < v)).sum()
+    }
+}
+
+/// One bin's PSI term for `count` of `total` window rows against the
+/// uniform reference mass, with half-a-sample smoothing of empty bins.
+#[inline]
+fn psi_term(count: u32, total: f64) -> f64 {
+    let q = 1.0 / PROFILE_BINS as f64;
+    let floor = 0.5 / total;
+    let p = (f64::from(count) / total).max(floor);
+    (p - q) * (p / q).ln()
 }
 
 /// A per-feature reference profile of the training feature matrix.
@@ -116,6 +142,35 @@ impl DriftProfile {
     /// Number of profiled features.
     pub fn n_features(&self) -> usize {
         self.features.len()
+    }
+
+    /// Checks that the profile covers exactly `width` features, each
+    /// with `PROFILE_BINS − 1` edges in ascending order (NaN last, as
+    /// [`DriftProfile::from_matrix`] sorts them).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first problem found.
+    pub fn validate(&self, width: usize) -> Result<(), String> {
+        if self.features.len() != width {
+            return Err(format!(
+                "profile covers {} features, pipeline outputs {width}",
+                self.features.len()
+            ));
+        }
+        for (f, fp) in self.features.iter().enumerate() {
+            if fp.edges.len() != PROFILE_BINS - 1 {
+                return Err(format!(
+                    "feature {f} has {} bin edges, expected {}",
+                    fp.edges.len(),
+                    PROFILE_BINS - 1
+                ));
+            }
+            if fp.edges.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
+                return Err(format!("feature {f} has unsorted bin edges"));
+            }
+        }
+        Ok(())
     }
 
     /// Creates a streaming detector over this profile.
@@ -172,6 +227,12 @@ pub struct DriftCheck {
 pub struct DriftDetector {
     profile: DriftProfile,
     config: DriftConfig,
+    /// Every feature's interior bin edges, `n_features × (PROFILE_BINS
+    /// − 1)`, row-major.
+    edges: Vec<f64>,
+    /// PSI term of a bin holding `c` rows of a full window, `c` in
+    /// `0..=window`.
+    full_terms: Vec<f64>,
     /// Ring of bin indices, `window × n_features`, row-major.
     ring: Vec<u8>,
     /// Current window histogram, `n_features × PROFILE_BINS`.
@@ -200,14 +261,32 @@ impl DriftDetector {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-feature profile or degenerate config
-    /// (`window == 0`, `check_every == 0`, or `psi_clear > psi_alert`).
+    /// Panics on a zero-feature profile, a feature without
+    /// `PROFILE_BINS − 1` edges, or degenerate config (`window == 0`,
+    /// `check_every == 0`, or `psi_clear > psi_alert`).
     pub fn new(profile: DriftProfile, config: DriftConfig) -> Self {
         let n = profile.n_features();
         assert!(n > 0, "drift profile has no features");
+        assert!(
+            profile
+                .features
+                .iter()
+                .all(|fp| fp.edges.len() == PROFILE_BINS - 1),
+            "every feature needs {} bin edges",
+            PROFILE_BINS - 1
+        );
         assert!(config.window > 0 && config.check_every > 0, "degenerate drift config");
         assert!(config.psi_clear <= config.psi_alert, "hysteresis bounds inverted");
+        let total = config.window as f64;
         DriftDetector {
+            edges: profile
+                .features
+                .iter()
+                .flat_map(|fp| fp.edges.iter().copied())
+                .collect(),
+            full_terms: (0..=config.window as u32)
+                .map(|c| psi_term(c, total))
+                .collect(),
             ring: vec![0; config.window * n],
             counts: vec![0; n * PROFILE_BINS],
             head: 0,
@@ -234,13 +313,14 @@ impl DriftDetector {
         let n = self.profile.n_features();
         assert!(row.len() >= n, "row has {} features, profile has {n}", row.len());
         let base = self.head * n;
-        for (f, (&v, fp)) in row[..n].iter().zip(&self.profile.features).enumerate() {
+        let edges = self.edges.chunks_exact(PROFILE_BINS - 1);
+        for (f, (&v, edges)) in row[..n].iter().zip(edges).enumerate() {
             // Evict the outgoing row's bin once the ring has wrapped.
             if self.filled == self.config.window {
                 let old = self.ring[base + f] as usize;
                 self.counts[f * PROFILE_BINS + old] -= 1;
             }
-            let bin = fp.bin(v);
+            let bin = bin_of(edges, v);
             self.ring[base + f] = bin as u8;
             self.counts[f * PROFILE_BINS + bin] += 1;
             // Welford over the whole stream.
@@ -263,21 +343,28 @@ impl DriftDetector {
     }
 
     /// Scores every feature's window against the reference and updates
-    /// the hysteresis state.
+    /// the hysteresis state. A full window reads each bin's term from
+    /// the table; a warming window (`filled < window`) computes it.
+    /// Either way the terms add in bin order, so both give the same
+    /// bits.
     fn check(&mut self) -> DriftCheck {
         let n = self.profile.n_features();
+        let full = self.filled == self.config.window;
         let total = self.filled as f64;
-        let q = 1.0 / PROFILE_BINS as f64; // equi-depth reference mass
-        let floor = 0.5 / total; // half-a-sample smoothing
         let mut max_psi = 0.0;
         let mut max_feature = 0;
         let mut new_alerts = Vec::new();
         for f in 0..n {
             let counts = &self.counts[f * PROFILE_BINS..(f + 1) * PROFILE_BINS];
             let mut psi = 0.0;
-            for &c in counts {
-                let p = (c as f64 / total).max(floor);
-                psi += (p - q) * (p / q).ln();
+            if full {
+                for &c in counts {
+                    psi += self.full_terms[c as usize];
+                }
+            } else {
+                for &c in counts {
+                    psi += psi_term(c, total);
+                }
             }
             self.scores[f] = psi;
             if psi > max_psi {
@@ -479,6 +566,190 @@ mod tests {
         let json = monitorless_std::json::to_string(&p);
         let back: DriftProfile = monitorless_std::json::from_str(&json).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn nan_lands_in_the_last_bin() {
+        let fp = FeatureProfile {
+            edges: (1..PROFILE_BINS).map(|i| i as f64).collect(),
+            mean: 5.0,
+            std: 3.0,
+        };
+        assert_eq!(fp.bin(f64::NAN), PROFILE_BINS - 1);
+        assert_eq!(fp.bin(-f64::NAN), PROFILE_BINS - 1);
+        assert_eq!(fp.bin(f64::INFINITY), PROFILE_BINS - 1);
+        assert_eq!(fp.bin(f64::NEG_INFINITY), 0);
+        assert_eq!(fp.bin(1.0), 0, "values on an edge stay below it");
+        assert_eq!(fp.bin(1.5), 1);
+    }
+
+    #[test]
+    fn validate_rejects_malformed_profiles() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let p = profile_from(&mut rng, 300, 3);
+        assert!(p.validate(3).is_ok());
+        assert!(p.validate(2).is_err(), "narrower pipeline");
+        assert!(p.validate(4).is_err(), "wider pipeline");
+        let mut short = p.clone();
+        short.features[1].edges.pop();
+        assert!(short.validate(3).unwrap_err().contains("bin edges"));
+        let mut unsorted = p.clone();
+        unsorted.features[2].edges.swap(0, 8);
+        assert!(unsorted.validate(3).unwrap_err().contains("unsorted"));
+    }
+
+    /// The detector as it scored before the PSI table: one `ln` per bin
+    /// per check and a binary search per value (with NaN sent to the
+    /// last bin, as documented).
+    struct ReferenceDetector {
+        profile: DriftProfile,
+        config: DriftConfig,
+        ring: Vec<u8>,
+        counts: Vec<u32>,
+        head: usize,
+        filled: usize,
+        rows: u64,
+        rows_since_check: usize,
+        scores: Vec<f64>,
+        trips: Vec<u32>,
+        alerted: Vec<bool>,
+    }
+
+    impl ReferenceDetector {
+        fn new(profile: DriftProfile, config: DriftConfig) -> Self {
+            let n = profile.n_features();
+            ReferenceDetector {
+                ring: vec![0; config.window * n],
+                counts: vec![0; n * PROFILE_BINS],
+                head: 0,
+                filled: 0,
+                rows: 0,
+                rows_since_check: 0,
+                scores: vec![0.0; n],
+                trips: vec![0; n],
+                alerted: vec![false; n],
+                profile,
+                config,
+            }
+        }
+
+        fn push(&mut self, row: &[f64]) -> Option<DriftCheck> {
+            let n = self.profile.n_features();
+            let base = self.head * n;
+            for (f, &v) in row[..n].iter().enumerate() {
+                if self.filled == self.config.window {
+                    let old = self.ring[base + f] as usize;
+                    self.counts[f * PROFILE_BINS + old] -= 1;
+                }
+                let edges = &self.profile.features[f].edges;
+                let bin = if v.is_nan() {
+                    edges.len()
+                } else {
+                    edges.partition_point(|e| *e < v)
+                };
+                self.ring[base + f] = bin as u8;
+                self.counts[f * PROFILE_BINS + bin] += 1;
+            }
+            self.head = (self.head + 1) % self.config.window;
+            self.filled = (self.filled + 1).min(self.config.window);
+            self.rows += 1;
+            self.rows_since_check += 1;
+            if self.rows < self.config.min_samples as u64
+                || self.rows_since_check < self.config.check_every
+            {
+                return None;
+            }
+            self.rows_since_check = 0;
+            let total = self.filled as f64;
+            let q = 1.0 / PROFILE_BINS as f64;
+            let floor = 0.5 / total;
+            let (mut max_psi, mut max_feature, mut new_alerts) = (0.0, 0, Vec::new());
+            for f in 0..n {
+                let mut psi = 0.0;
+                for &c in &self.counts[f * PROFILE_BINS..(f + 1) * PROFILE_BINS] {
+                    let p = (c as f64 / total).max(floor);
+                    psi += (p - q) * (p / q).ln();
+                }
+                self.scores[f] = psi;
+                if psi > max_psi {
+                    max_psi = psi;
+                    max_feature = f;
+                }
+                if psi >= self.config.psi_alert {
+                    self.trips[f] += 1;
+                    if self.trips[f] >= self.config.patience as u32 && !self.alerted[f] {
+                        self.alerted[f] = true;
+                        new_alerts.push(f);
+                    }
+                } else if psi < self.config.psi_clear {
+                    self.trips[f] = 0;
+                    self.alerted[f] = false;
+                }
+            }
+            Some(DriftCheck {
+                max_psi,
+                max_feature,
+                new_alerts,
+            })
+        }
+    }
+
+    /// The table-driven detector scores bit-identically to the
+    /// per-check `ln` reference — during warm-up (`filled < window`),
+    /// in steady state, through a shift that raises alerts and its
+    /// recovery, with NaN values mixed in.
+    #[test]
+    fn table_scoring_matches_reference_detector() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let profile = profile_from(&mut rng, 1000, 4);
+        let cfg = DriftConfig {
+            window: 64,
+            min_samples: 16,
+            check_every: 8,
+            patience: 2,
+            ..DriftConfig::default()
+        };
+        let mut det = profile.detector(cfg);
+        let mut reference = ReferenceDetector::new(profile.clone(), cfg);
+        let (mut warm_checks, mut full_checks, mut alerts) = (0, 0, 0);
+        let mut row = [0.0; 4];
+        for t in 0..1200 {
+            // Stationary, then feature 2 shifts by 3 stds, then back.
+            let shift = if (400..800).contains(&t) { 3.0 } else { 0.0 };
+            for (c, slot) in row.iter_mut().enumerate() {
+                let sd = 1.0 + c as f64 * 0.5;
+                let mean = c as f64 + if c == 2 { shift * sd } else { 0.0 };
+                *slot = if rng.gen_f64() < 0.02 {
+                    f64::NAN
+                } else {
+                    gaussian(&mut rng, mean, sd)
+                };
+            }
+            let filled_before = t.min(cfg.window);
+            let got = det.push(&row);
+            let want = reference.push(&row);
+            match (&got, &want) {
+                (Some(g), Some(w)) => {
+                    assert_eq!(g.max_psi.to_bits(), w.max_psi.to_bits(), "t={t}");
+                    assert_eq!(g.max_feature, w.max_feature, "t={t}");
+                    assert_eq!(g.new_alerts, w.new_alerts, "t={t}");
+                    alerts += g.new_alerts.len();
+                    if filled_before + 1 < cfg.window {
+                        warm_checks += 1;
+                    } else {
+                        full_checks += 1;
+                    }
+                }
+                (None, None) => {}
+                _ => panic!("t={t}: check cadence differs: {got:?} vs {want:?}"),
+            }
+            for (a, b) in det.scores().iter().zip(&reference.scores) {
+                assert_eq!(a.to_bits(), b.to_bits(), "t={t}");
+            }
+        }
+        assert!(warm_checks > 0, "no warm-up checks exercised");
+        assert!(full_checks > 0, "no full-window checks exercised");
+        assert!(alerts > 0, "the shift raised no alert");
     }
 
     #[test]

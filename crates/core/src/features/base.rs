@@ -74,6 +74,45 @@ impl RawLayout {
     pub fn ctr_mem_util(&self, raw: &[f64]) -> f64 {
         raw[self.ctr_mem_util].clamp(0.0, 100.0)
     }
+
+    /// The utilization a binary feature observes, from a raw vector.
+    pub fn util(&self, source: BinarySource, raw: &[f64]) -> f64 {
+        match source {
+            BinarySource::HostCpu => self.host_cpu_util(raw),
+            BinarySource::HostMem => self.host_mem_util(raw),
+            BinarySource::CtrCpu => self.ctr_cpu_util(raw),
+            BinarySource::CtrMem => self.ctr_mem_util(raw),
+        }
+    }
+
+    /// Checks that names, kinds and the utilization indices agree — a
+    /// layout read from a corrupt model file fails here rather than
+    /// indexing out of range mid-tick.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invalid`] naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), Error> {
+        let n = self.names.len();
+        if self.kinds.len() != n {
+            return Err(Error::Invalid(format!(
+                "raw layout has {n} names but {} kinds",
+                self.kinds.len()
+            )));
+        }
+        let indices = [
+            self.host_cpu_idle,
+            self.host_mem_util,
+            self.ctr_cpu_util,
+            self.ctr_mem_util,
+        ];
+        if let Some(&i) = indices.iter().find(|&&i| i >= n) {
+            return Err(Error::Invalid(format!(
+                "raw layout utilization index {i} out of range for {n} metrics"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Names and thresholds of the 16 binary features (Section 3.3.1): LOW /
@@ -138,6 +177,26 @@ impl BinaryLevel {
     }
 }
 
+/// One base feature, resolved: a kind-scaled raw metric or a binary
+/// level feature.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BaseColumn {
+    /// Raw metric `index`, preprocessed by its kind.
+    Metric {
+        /// Index into the raw vector.
+        index: usize,
+        /// The metric's kind.
+        kind: MetricKind,
+    },
+    /// A binary utilization-level feature.
+    Binary {
+        /// Which utilization it observes.
+        source: BinarySource,
+        /// The band it indicates.
+        level: BinaryLevel,
+    },
+}
+
 /// Expands a raw metric vector into the base feature vector: kind-scaled
 /// raw metrics followed by the 16 binary features.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,13 +258,32 @@ impl BaseExpander {
             out.push(kind.preprocess(*v));
         }
         for (_, source, level) in BINARY_FEATURES {
-            let util = match source {
-                BinarySource::HostCpu => self.layout.host_cpu_util(raw),
-                BinarySource::HostMem => self.layout.host_mem_util(raw),
-                BinarySource::CtrCpu => self.layout.ctr_cpu_util(raw),
-                BinarySource::CtrMem => self.layout.ctr_mem_util(raw),
-            };
-            out.push(level.indicator(util));
+            out.push(level.indicator(self.layout.util(source, raw)));
+        }
+    }
+
+    /// How base feature `j` is computed, or `None` when `j` is out of
+    /// range — the per-column form of [`BaseExpander::expand_into`].
+    pub fn column(&self, j: usize) -> Option<BaseColumn> {
+        let raw_len = self.layout.raw_len();
+        if j < raw_len {
+            Some(BaseColumn::Metric {
+                index: j,
+                kind: self.layout.kinds[j],
+            })
+        } else {
+            let (_, source, level) = *BINARY_FEATURES.get(j - raw_len)?;
+            Some(BaseColumn::Binary { source, level })
+        }
+    }
+
+    /// Evaluates one base feature of a raw vector: bit-identical to the
+    /// corresponding cell of [`BaseExpander::expand_into`].
+    #[inline]
+    pub fn value(&self, column: BaseColumn, raw: &[f64]) -> f64 {
+        match column {
+            BaseColumn::Metric { index, kind } => kind.preprocess(raw[index]),
+            BaseColumn::Binary { source, level } => level.indicator(self.layout.util(source, raw)),
         }
     }
 

@@ -11,10 +11,16 @@
 //!    multiplicative cross-domain products ([`combine`]);
 //! 5. second reduction (filtering or PCA);
 //! 6. zero-variance removal.
+//!
+//! A fitted pipeline is compiled into a [`ServingPlan`] ([`plan`]) that
+//! the online and batch transforms run on: only the columns the model
+//! reads are computed, and only the columns a time feature reads keep
+//! history.
 
 pub mod base;
 pub mod combine;
 pub mod pipeline;
+pub mod plan;
 pub mod reduce;
 pub mod timefeat;
 
@@ -23,5 +29,6 @@ pub use combine::{domain_of, Domain};
 pub use pipeline::{
     FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig, TransformScratch,
 };
+pub use plan::ServingPlan;
 pub use reduce::Reduction;
 pub use timefeat::{TimeExpander, TIME_LAGS};

@@ -7,7 +7,7 @@
 //! paths and the streaming paths are proven bit-identical to them
 //! (`tests/featurize_equivalence.rs`, `table1_featurize`).
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,8 +16,9 @@ use monitorless_obs as obs;
 
 use super::base::{BaseExpander, RawLayout};
 use super::combine::{apply_products, product_names, product_pairs};
+use super::plan::ServingPlan;
 use super::reduce::{FittedReduction, Reduction};
-use super::timefeat::{TimeExpander, TIME_LAGS};
+use super::timefeat::TimeExpander;
 use crate::Error;
 
 /// Configuration of the feature pipeline.
@@ -215,7 +216,9 @@ impl FeaturePipeline {
             reduce2,
             keep,
             names,
-        };
+            serving: Arc::default(),
+        }
+        .compiled()?;
         Ok((fitted, final_x))
     }
 }
@@ -412,112 +415,26 @@ pub fn expand_stage_d_legacy(
     (Matrix::from_vec(c.rows(), width, data), names)
 }
 
-/// One final-output cell of the selective stage-D/E plan: which stage-D
-/// value a kept output column corresponds to, resolved through the
-/// second reduction's selection and the zero-variance `keep` list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanCell {
-    /// Stage-C column `f` of the current row.
-    Orig(usize),
-    /// Mean of stage-C column `f` over the clamped trailing window.
-    Avg {
-        /// Stage-C column.
-        f: usize,
-        /// Lag distance (window is `lag + 1` samples).
-        lag: usize,
-    },
-    /// Stage-C column `f`, `lag` samples ago (clamped at block start).
-    Lag {
-        /// Stage-C column.
-        f: usize,
-        /// Lag distance.
-        lag: usize,
-    },
-    /// Product of stage-C columns `a` and `b` of the current row.
-    Product(usize, usize),
-}
-
-/// Evaluates the plan for chronological row `i` of a contiguous block
-/// (`rw` stage-C columns), writing one value per plan cell into `out`.
-///
-/// Each `Avg` cell re-accumulates its clamped window in ascending
-/// chronological order — the same left-to-right f64 add sequence as the
-/// legacy full expansion, so every cell is bit-identical to the
-/// corresponding legacy stage-D column.
-fn eval_plan_row(plan: &[PlanCell], block: &[f64], rw: usize, i: usize, out: &mut [f64]) {
-    let cur = &block[i * rw..(i + 1) * rw];
-    for (dst, cell) in out.iter_mut().zip(plan) {
-        *dst = match *cell {
-            PlanCell::Orig(f) => cur[f],
-            PlanCell::Avg { f, lag } => {
-                let start = i.saturating_sub(lag);
-                let n = (i - start + 1) as f64;
-                let mut acc = 0.0;
-                for r in start..=i {
-                    acc += block[r * rw + f];
-                }
-                acc / n
-            }
-            PlanCell::Lag { f, lag } => block[i.saturating_sub(lag) * rw + f],
-            PlanCell::Product(a, b) => cur[a] * cur[b],
-        };
-    }
-}
-
-/// Expands one chronological row of a contiguous block into the full
-/// stage-D row (time features + products), reusing `d` — the online
-/// fallback when the second reduction is PCA and every stage-D column
-/// is needed. Bit-identical to `expand_at` + `apply_products`.
-fn expand_row_full(
-    time: Option<&TimeExpander>,
-    block: &[f64],
-    rw: usize,
-    i: usize,
-    pairs: &[(usize, usize)],
-    d: &mut Vec<f64>,
-) {
-    d.clear();
-    let cur = &block[i * rw..(i + 1) * rw];
-    match time {
-        Some(_) => {
-            d.extend_from_slice(cur);
-            for &x in &TIME_LAGS {
-                let start = i.saturating_sub(x);
-                let n = (i - start + 1) as f64;
-                for f in 0..rw {
-                    let mut acc = 0.0;
-                    for r in start..=i {
-                        acc += block[r * rw + f];
-                    }
-                    d.push(acc / n);
-                }
-            }
-            for &x in &TIME_LAGS {
-                let j = i.saturating_sub(x);
-                d.extend_from_slice(&block[j * rw..(j + 1) * rw]);
-            }
-        }
-        None => d.extend_from_slice(cur),
-    }
-    for &(a, b) in pairs {
-        d.push(cur[a] * cur[b]);
-    }
-}
-
 /// A fitted feature pipeline: transforms raw metric windows into model
 /// inputs, both in batch (training) and online (per instance) form.
+///
+/// Fitting and loading compile it into a [`ServingPlan`], shared by
+/// every transformer of the pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FittedPipeline {
     config: PipelineConfig,
-    expander: BaseExpander,
-    scaler: Option<StandardScaler>,
-    reduce1: FittedReduction,
-    time: Option<TimeExpander>,
-    pairs: Vec<(usize, usize)>,
-    names_c: Vec<String>,
-    reduce2: FittedReduction,
-    keep: Vec<usize>,
-    names: Vec<String>,
+    pub(super) expander: BaseExpander,
+    pub(super) scaler: Option<StandardScaler>,
+    pub(super) reduce1: FittedReduction,
+    pub(super) time: Option<TimeExpander>,
+    pub(super) pairs: Vec<(usize, usize)>,
+    pub(super) names_c: Vec<String>,
+    pub(super) reduce2: FittedReduction,
+    pub(super) keep: Vec<usize>,
+    pub(super) names: Vec<String>,
+    /// Derived from the fields above; compiled on fit and load, never
+    /// serialized.
+    serving: Arc<ServingPlan>,
 }
 
 impl FittedPipeline {
@@ -541,8 +458,19 @@ impl FittedPipeline {
         self.names_c.len()
     }
 
+    /// The compiled serving plan.
+    pub fn serving_plan(&self) -> &ServingPlan {
+        &self.serving
+    }
+
+    /// Compiles and attaches the serving plan.
+    fn compiled(mut self) -> Result<Self, Error> {
+        self.serving = Arc::new(ServingPlan::compile(&self)?);
+        Ok(self)
+    }
+
     /// Width of the time-feature span of a stage-D row.
-    fn time_width(&self) -> usize {
+    pub(super) fn time_width(&self) -> usize {
         let rw = self.names_c.len();
         match &self.time {
             Some(t) => t.output_width(),
@@ -550,56 +478,14 @@ impl FittedPipeline {
         }
     }
 
-    /// Builds the selective stage-D/E evaluation plan: when the second
-    /// reduction is a column selection (or identity), final output
-    /// column `k` is exactly one stage-D value, so the batch and online
-    /// paths compute only those cells instead of materializing the full
-    /// stage-D row. Returns `None` for PCA, which mixes every column.
-    fn plan(&self) -> Option<Vec<PlanCell>> {
-        let rw = self.names_c.len();
-        let time_width = self.time_width();
-        let d_index = |k: usize| match &self.reduce2 {
-            FittedReduction::Select(idx) => Some(idx[self.keep[k]]),
-            FittedReduction::None => Some(self.keep[k]),
-            FittedReduction::Pca(_) => None,
-        };
-        (0..self.keep.len())
-            .map(|k| {
-                let j = d_index(k)?;
-                Some(if j < time_width {
-                    if self.time.is_some() {
-                        let band = j / rw;
-                        let f = j % rw;
-                        if band == 0 {
-                            PlanCell::Orig(f)
-                        } else if band <= TIME_LAGS.len() {
-                            PlanCell::Avg {
-                                f,
-                                lag: TIME_LAGS[band - 1],
-                            }
-                        } else {
-                            PlanCell::Lag {
-                                f,
-                                lag: TIME_LAGS[band - 1 - TIME_LAGS.len()],
-                            }
-                        }
-                    } else {
-                        PlanCell::Orig(j)
-                    }
-                } else {
-                    let (a, b) = self.pairs[j - time_width];
-                    PlanCell::Product(a, b)
-                })
-            })
-            .collect()
-    }
-
-    /// Batch transform mirroring the fit-time flow on the streaming
-    /// kernels: stages 1–3 are fused row by row into the reduced matrix
-    /// (no intermediate base/scaled matrices), and stage D/E evaluates
-    /// only the kept output cells when the second reduction is a column
-    /// selection. Rows must be ordered chronologically within each
-    /// group. Bit-identical to [`FittedPipeline::transform_batch_legacy`].
+    /// Batch transform mirroring the fit-time flow on the serving plan:
+    /// stages 1–3 are fused row by row into the reduced matrix (no
+    /// intermediate base/scaled matrices) and, unless the first
+    /// reduction is PCA, compute only the stage-C columns the outputs
+    /// read; stage D/E evaluates only the kept output cells when the
+    /// second reduction is a column selection. Rows must be ordered
+    /// chronologically within each group. Bit-identical to
+    /// [`FittedPipeline::transform_batch_legacy`].
     ///
     /// # Errors
     ///
@@ -609,56 +495,36 @@ impl FittedPipeline {
         let rows = x_raw.rows();
         let rw = self.names_c.len();
 
-        // Fused stages 1-3: expand → scale → reduce, one row at a time.
-        let mut c_data: Vec<f64> = Vec::with_capacity(rows * rw);
-        let mut base = Vec::with_capacity(self.expander.len());
-        let mut scaled = Vec::with_capacity(self.expander.len());
-        let mut reduced = Vec::with_capacity(rw);
-        for raw in x_raw.iter_rows() {
-            self.expander.expand_into(raw, &mut base);
-            let srow: &[f64] = match &self.scaler {
-                Some(s) => {
-                    s.transform_row_into(&base, &mut scaled)?;
-                    &scaled
-                }
-                None => &base,
-            };
-            self.reduce1.apply_row_into(srow, &mut reduced)?;
-            c_data.extend_from_slice(&reduced);
-        }
-        let c = Matrix::from_vec(rows, rw, c_data);
+        let plan = &*self.serving;
+        let c = Matrix::from_vec(rows, rw, plan.reduce_batch(self, x_raw)?);
 
-        let out = match self.plan() {
-            Some(plan) => {
-                let ow = plan.len();
-                let blocks = group_blocks(groups);
-                obs::counter_add("pipeline.rows", rows as u64);
-                obs::counter_add("pipeline.groups", blocks.len() as u64);
-                let mut data = vec![0.0; rows * ow];
-                let c_slice = c.as_slice();
-                let plan = &plan;
-                shard_blocks(&mut data, ow, &blocks, self.config.n_jobs, |start, end, out| {
-                    let block = &c_slice[start * rw..end * rw];
-                    for i in 0..end - start {
-                        eval_plan_row(plan, block, rw, i, &mut out[i * ow..(i + 1) * ow]);
-                    }
-                });
-                Matrix::from_vec(rows, ow, data)
-            }
-            None => {
-                // PCA second stage: the projection needs every stage-D
-                // column, so run the full streaming expansion.
-                let (d, _) = expand_stage_d(
-                    &c,
-                    groups,
-                    self.time.as_ref(),
-                    &self.pairs,
-                    &self.names_c,
-                    self.config.n_jobs,
-                );
-                let e = self.reduce2.apply(&d)?;
-                e.select_columns(&self.keep)
-            }
+        let out = if plan.is_selective() {
+            let ow = self.output_width();
+            let blocks = group_blocks(groups);
+            obs::counter_add("pipeline.rows", rows as u64);
+            obs::counter_add("pipeline.groups", blocks.len() as u64);
+            let mut data = vec![0.0; rows * ow];
+            let c_slice = c.as_slice();
+            shard_blocks(&mut data, ow, &blocks, self.config.n_jobs, |start, end, out| {
+                let block = &c_slice[start * rw..end * rw];
+                for i in 0..end - start {
+                    plan.eval_block_row(block, i, &mut out[i * ow..(i + 1) * ow]);
+                }
+            });
+            Matrix::from_vec(rows, ow, data)
+        } else {
+            // PCA second stage: the projection needs every stage-D
+            // column, so run the full streaming expansion.
+            let (d, _) = expand_stage_d(
+                &c,
+                groups,
+                self.time.as_ref(),
+                &self.pairs,
+                &self.names_c,
+                self.config.n_jobs,
+            );
+            let e = self.reduce2.apply(&d)?;
+            e.select_columns(&self.keep)
         };
         if let Some(us) = span.elapsed_us() {
             if us > 0.0 {
@@ -707,8 +573,9 @@ impl FittedPipeline {
     /// Stages 1–3 for one raw sample — expand, scale, reduce — written
     /// into reusable scratch buffers: no 1-row matrix through the
     /// scaler, no fresh vectors, allocation-free once the buffers have
-    /// capacity.
-    fn reduce_raw_into(
+    /// capacity. Computes every stage-C column; the serving plan uses
+    /// it when the first reduction is PCA.
+    pub(super) fn reduce_raw_into(
         &self,
         raw: &[f64],
         base: &mut Vec<f64>,
@@ -730,23 +597,23 @@ impl FittedPipeline {
 /// Caller-owned working space for [`InstanceTransformer::push_into`],
 /// shared across a whole fleet of transformers.
 ///
-/// Stages 1–3 need roughly `2 × expanded_width + reduced_width` f64s of
-/// transient space per push (~18 KB at paper scale). One instance
-/// owning that is fine; 100 k instances each owning a copy is ~1.8 GB
-/// of scratch that is only ever live for one instance at a time. The
-/// fleet tick therefore owns a single `TransformScratch` and lends it
-/// to each transformer in turn, leaving per-instance state at just the
-/// rolling window (16 × reduced_width).
+/// Stages 1–3 need up to `2 × expanded_width + reduced_width` f64s of
+/// transient space per push (~18 KB at paper scale when the first
+/// reduction is PCA). One instance owning that is fine; 100 k instances
+/// each owning a copy is ~1.8 GB of scratch that is only ever live for
+/// one instance at a time. The fleet tick therefore owns a single
+/// `TransformScratch` and lends it to each transformer in turn, leaving
+/// per-instance state at just the history ring.
 ///
 /// Buffers grow to their high-water mark on first use and are reused
 /// thereafter; a warmed scratch makes `push_into` allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct TransformScratch {
-    base: Vec<f64>,
-    scaled: Vec<f64>,
-    reduced: Vec<f64>,
-    d: Vec<f64>,
-    e: Vec<f64>,
+    pub(super) base: Vec<f64>,
+    pub(super) scaled: Vec<f64>,
+    pub(super) reduced: Vec<f64>,
+    pub(super) d: Vec<f64>,
+    pub(super) e: Vec<f64>,
 }
 
 impl TransformScratch {
@@ -759,14 +626,19 @@ impl TransformScratch {
     /// through it allocates nothing.
     pub fn for_pipeline(pipeline: &FittedPipeline) -> Self {
         let d_width = pipeline.time_width() + pipeline.pairs.len();
-        let (d_cap, e_cap) = if pipeline.plan().is_some() {
+        let (d_cap, e_cap) = if pipeline.serving.is_selective() {
             (0, 0)
         } else {
             (d_width, pipeline.reduce2.output_width(d_width))
         };
+        let base_cap = if matches!(pipeline.reduce1, FittedReduction::Pca(_)) {
+            pipeline.expander.len()
+        } else {
+            0
+        };
         TransformScratch {
-            base: Vec::with_capacity(pipeline.expander.len()),
-            scaled: Vec::with_capacity(pipeline.expander.len()),
+            base: Vec::with_capacity(base_cap),
+            scaled: Vec::with_capacity(base_cap),
             reduced: Vec::with_capacity(pipeline.reduced_width()),
             d: Vec::with_capacity(d_cap),
             e: Vec::with_capacity(e_cap),
@@ -779,26 +651,30 @@ impl TransformScratch {
 /// the time-dependent features — the orchestrator keeps one of these per
 /// running container.
 ///
-/// The window is a fixed preallocated buffer of reduced rows and every
-/// intermediate lives in preallocated scratch, so steady-state
-/// [`InstanceTransformer::push`] performs no heap allocation (asserted
-/// by `table1_featurize`'s counting allocator). Fleets that serve many
-/// instances should prefer [`InstanceTransformer::push_into`] with one
-/// shared [`TransformScratch`]: the internal scratch buffers start
-/// empty and only grow if [`InstanceTransformer::push`] itself is
-/// called.
+/// It runs on its pipeline's shared [`ServingPlan`] and owns only a
+/// fixed ring of the last [`WINDOW_LEN`] values of the plan's history
+/// columns (32 columns, 4 KB, for the paper model). Every intermediate
+/// lives in scratch, so steady-state [`InstanceTransformer::push`]
+/// performs no heap allocation (asserted by `table1_featurize`'s
+/// counting allocator). Fleets that serve many instances should prefer
+/// [`InstanceTransformer::push_into`] with one shared
+/// [`TransformScratch`]: the internal scratch buffers start empty and
+/// only grow if [`InstanceTransformer::push`] itself is called.
 #[derive(Debug, Clone)]
 pub struct InstanceTransformer {
     pipeline: Arc<FittedPipeline>,
-    plan: Option<Vec<PlanCell>>,
-    /// Row-major chronological window, at most [`WINDOW_LEN`] × `rw`.
-    window: Vec<f64>,
+    /// History columns, column-major: [`WINDOW_LEN`] slots per column.
+    ring: Vec<f64>,
+    /// Ring slot the next sample is written to.
+    head: usize,
     filled: usize,
-    rw: usize,
     /// Private working space for [`InstanceTransformer::push`]; stays
     /// empty (zero heap) on instances served via `push_into`.
     scratch: TransformScratch,
     out: Vec<f64>,
+    /// Full stage-C rows, oldest first, kept by
+    /// [`InstanceTransformer::push_legacy`] only.
+    legacy_window: VecDeque<Vec<f64>>,
 }
 
 /// Window length required by the 15-second lags (current + 15 history).
@@ -807,19 +683,18 @@ pub const WINDOW_LEN: usize = 16;
 impl InstanceTransformer {
     /// Creates a transformer bound to a fitted pipeline.
     ///
-    /// Only the rolling window is preallocated; the private
-    /// stage-1–3 scratch grows lazily on the first
-    /// [`InstanceTransformer::push`] and never materialises on
-    /// instances served through [`InstanceTransformer::push_into`].
+    /// Only the history ring is preallocated; the private stage-1–3
+    /// scratch grows lazily on the first [`InstanceTransformer::push`]
+    /// and never materialises on instances served through
+    /// [`InstanceTransformer::push_into`].
     pub fn new(pipeline: Arc<FittedPipeline>) -> Self {
-        let rw = pipeline.reduced_width();
         InstanceTransformer {
-            plan: pipeline.plan(),
-            window: Vec::with_capacity(WINDOW_LEN * rw),
+            ring: vec![0.0; WINDOW_LEN * pipeline.serving.history_width()],
+            head: 0,
             filled: 0,
-            rw,
             scratch: TransformScratch::new(),
             out: Vec::new(),
+            legacy_window: VecDeque::new(),
             pipeline,
         }
     }
@@ -859,7 +734,11 @@ impl InstanceTransformer {
     /// shared feature matrix plus one fleet-wide [`TransformScratch`],
     /// so a tick over N instances performs zero heap allocation and
     /// carries no per-instance scratch (bit-identical to `push`, which
-    /// delegates here).
+    /// delegates here, and to [`InstanceTransformer::push_legacy`]).
+    ///
+    /// The serving plan computes stages 1–3 only for the stage-C
+    /// columns the outputs read, stores its history columns in the
+    /// ring, and evaluates only the kept output cells.
     ///
     /// # Errors
     ///
@@ -876,47 +755,22 @@ impl InstanceTransformer {
     ) -> Result<(), Error> {
         let _span = obs::Span::enter("pipeline.transform_online");
         obs::counter_add("pipeline.online.pushes", 1);
-        assert_eq!(
-            out.len(),
-            self.pipeline.output_width(),
-            "output slice must match pipeline width"
-        );
-        self.pipeline.reduce_raw_into(
-            raw,
-            &mut scratch.base,
-            &mut scratch.scaled,
-            &mut scratch.reduced,
-        )?;
-        let rw = self.rw;
-        if self.filled == WINDOW_LEN {
-            self.window.copy_within(rw.., 0);
-            self.window[(WINDOW_LEN - 1) * rw..].copy_from_slice(&scratch.reduced);
-        } else {
-            self.window.extend_from_slice(&scratch.reduced);
-            self.filled += 1;
-        }
-        let i = self.filled - 1;
-        let block = &self.window[..self.filled * rw];
-        match &self.plan {
-            Some(plan) => eval_plan_row(plan, block, rw, i, out),
-            None => {
-                let p = &self.pipeline;
-                expand_row_full(p.time.as_ref(), block, rw, i, &p.pairs, &mut scratch.d);
-                p.reduce2.apply_row_into(&scratch.d, &mut scratch.e)?;
-                for (dst, &k) in out.iter_mut().zip(&p.keep) {
-                    *dst = scratch.e[k];
-                }
-            }
-        }
-        Ok(())
+        let p = &*self.pipeline;
+        assert_eq!(out.len(), p.output_width(), "output slice must match pipeline width");
+        let plan = &*p.serving;
+        plan.reduce_raw_into(p, raw, scratch)?;
+        let head = self.head;
+        self.head = (head + 1) % WINDOW_LEN;
+        self.filled = (self.filled + 1).min(WINDOW_LEN);
+        plan.eval_ring(p, &mut self.ring, head, self.filled, scratch, out)
     }
 
     /// The original per-tick path (1-row matrix through the scaler, the
-    /// window cloned into fresh vectors, full stage-D row), retained as
-    /// the reference [`InstanceTransformer::push`] is proven
-    /// bit-identical against. Maintains the same window state, so the
-    /// two paths cannot be interleaved on one instance — feed separate
-    /// instances the same samples to compare.
+    /// window rows cloned into fresh vectors, full stage-D row),
+    /// retained as the reference [`InstanceTransformer::push`] is
+    /// proven bit-identical against. It keeps its own window of full
+    /// stage-C rows, so the two paths cannot be interleaved on one
+    /// instance — feed separate instances the same samples to compare.
     ///
     /// # Errors
     ///
@@ -934,20 +788,12 @@ impl InstanceTransformer {
             None => base,
         };
         let reduced = p.reduce1.apply_row(&scaled)?;
-        let rw = self.rw;
-        if self.filled == WINDOW_LEN {
-            self.window.copy_within(rw.., 0);
-            self.window[(WINDOW_LEN - 1) * rw..].copy_from_slice(&reduced);
-        } else {
-            self.window.extend_from_slice(&reduced);
-            self.filled += 1;
+        if self.legacy_window.len() == WINDOW_LEN {
+            self.legacy_window.pop_front();
         }
-        let rows: Vec<Vec<f64>> = self
-            .window
-            .chunks(rw)
-            .take(self.filled)
-            .map(<[f64]>::to_vec)
-            .collect();
+        self.legacy_window.push_back(reduced);
+        self.filled = self.legacy_window.len();
+        let rows: Vec<Vec<f64>> = self.legacy_window.iter().cloned().collect();
         p.transform_window(&rows)
     }
 }
@@ -961,18 +807,51 @@ monitorless_std::json_struct!(PipelineConfig {
     seed,
     n_jobs,
 });
-monitorless_std::json_struct!(FittedPipeline {
-    config,
-    expander,
-    scaler,
-    reduce1,
-    time,
-    pairs,
-    names_c,
-    reduce2,
-    keep,
-    names,
-});
+
+// Hand-written (rather than `json_struct!`) because the serving plan is
+// derived state: it stays off the wire and is recompiled on load, which
+// also rejects a corrupt pipeline before it can serve.
+impl monitorless_std::json::ToJson for FittedPipeline {
+    fn to_json(&self) -> monitorless_std::json::Json {
+        use monitorless_std::json::Json;
+        let member = |name: &str, value: Json| (name.to_string(), value);
+        Json::Obj(vec![
+            member("config", self.config.to_json()),
+            member("expander", self.expander.to_json()),
+            member("scaler", self.scaler.to_json()),
+            member("reduce1", self.reduce1.to_json()),
+            member("time", self.time.to_json()),
+            member("pairs", self.pairs.to_json()),
+            member("names_c", self.names_c.to_json()),
+            member("reduce2", self.reduce2.to_json()),
+            member("keep", self.keep.to_json()),
+            member("names", self.names.to_json()),
+        ])
+    }
+}
+
+impl monitorless_std::json::FromJson for FittedPipeline {
+    fn from_json(
+        json: &monitorless_std::json::Json,
+    ) -> Result<Self, monitorless_std::json::JsonError> {
+        use monitorless_std::json::{field, JsonError};
+        FittedPipeline {
+            config: field(json, "config")?,
+            expander: field(json, "expander")?,
+            scaler: field(json, "scaler")?,
+            reduce1: field(json, "reduce1")?,
+            time: field(json, "time")?,
+            pairs: field(json, "pairs")?,
+            names_c: field(json, "names_c")?,
+            reduce2: field(json, "reduce2")?,
+            keep: field(json, "keep")?,
+            names: field(json, "names")?,
+            serving: Arc::default(),
+        }
+        .compiled()
+        .map_err(|e| JsonError(e.to_string()))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -59,7 +59,9 @@ impl ModelOptions {
 /// used at inference time.
 #[derive(Debug, Clone)]
 pub struct MonitorlessModel {
-    pipeline: FittedPipeline,
+    /// Shared with every online transformer, together with its
+    /// compiled serving plan.
+    pipeline: Arc<FittedPipeline>,
     forest: RandomForest,
     threshold: f64,
     /// The forest compiled for batched inference; rebuilt on load, not
@@ -108,7 +110,7 @@ impl MonitorlessModel {
         let flat = forest.to_flat();
         let drift = Some(DriftProfile::from_matrix(&x));
         Ok(MonitorlessModel {
-            pipeline: fitted,
+            pipeline: Arc::new(fitted),
             forest,
             threshold: opts.threshold,
             flat,
@@ -202,9 +204,10 @@ impl MonitorlessModel {
     }
 
     /// Creates a per-instance online transformer sharing this model's
-    /// pipeline.
-    pub fn transformer(self: &Arc<Self>) -> InstanceTransformer {
-        InstanceTransformer::new(Arc::new(self.pipeline.clone()))
+    /// pipeline and its compiled serving plan: a new instance allocates
+    /// only its history ring.
+    pub fn transformer(&self) -> InstanceTransformer {
+        InstanceTransformer::new(Arc::clone(&self.pipeline))
     }
 
     /// Predicts from an already-transformed feature vector.
@@ -282,8 +285,11 @@ impl MonitorlessModel {
 // Hand-written (rather than `json_struct!`) because the flat table is
 // derived state: pipeline/forest/threshold plus the optional drift
 // profile go on the wire, and deserialization recompiles the flat table
-// from the forest. The drift field is read with `json.get` rather than
-// `field` so models saved before it existed still load.
+// from the forest (the pipeline recompiles its own serving plan). The
+// drift field is read with `json.get` rather than `field` so models
+// saved before it existed still load; a profile that does not fit the
+// pipeline's outputs is rejected here rather than mis-scored (or
+// panicking) inside the serving tick.
 impl monitorless_std::json::ToJson for MonitorlessModel {
     fn to_json(&self) -> monitorless_std::json::Json {
         let mut members = vec![
@@ -306,12 +312,18 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
         let forest: RandomForest = monitorless_std::json::field(json, "forest")?;
         let threshold: f64 = monitorless_std::json::field(json, "threshold")?;
         let drift = match json.get("drift") {
-            Some(j) => Some(DriftProfile::from_json(j)?),
+            Some(j) => {
+                let profile = DriftProfile::from_json(j)?;
+                profile.validate(pipeline.output_width()).map_err(|e| {
+                    monitorless_std::json::JsonError(format!("field \"drift\": {e}"))
+                })?;
+                Some(profile)
+            }
             None => None,
         };
         let flat = forest.to_flat();
         Ok(MonitorlessModel {
-            pipeline,
+            pipeline: Arc::new(pipeline),
             forest,
             threshold,
             flat,
@@ -324,6 +336,7 @@ impl monitorless_std::json::FromJson for MonitorlessModel {
 mod tests {
     use super::*;
     use crate::training::{generate_training_data, TrainingOptions};
+    use monitorless_std::json::{FromJson, Json, ToJson};
 
     fn tiny_data() -> TrainingData {
         generate_training_data(&TrainingOptions {
@@ -374,6 +387,83 @@ mod tests {
             .unwrap();
         assert_eq!(p1, p2);
         let _ = std::fs::remove_file(dir);
+    }
+
+    /// An edit that corrupts a saved model's JSON.
+    type Corruption = fn(&mut Json);
+
+    /// The member `key` of a JSON object, for corrupting a saved model.
+    fn member<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        match json {
+            Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    fn elements(json: &mut Json) -> &mut Vec<Json> {
+        match json {
+            Json::Arr(items) => items,
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    /// A corrupt model file is a load error, never a mid-tick panic:
+    /// a drift profile of the wrong width, a feature with the wrong
+    /// number of bin edges or unsorted edges, and pipeline indices out
+    /// of range are all rejected by `from_json`.
+    #[test]
+    fn corrupt_model_json_is_a_load_error() {
+        let data = tiny_data();
+        let model = MonitorlessModel::train(&data, &ModelOptions::quick()).unwrap();
+        let good = model.to_json();
+        assert!(MonitorlessModel::from_json(&good).is_ok());
+        let width = model.pipeline().output_width();
+        let corruptions: [(&str, Corruption); 7] = [
+            ("narrower drift profile", |j| {
+                elements(member(member(j, "drift"), "features")).pop();
+            }),
+            ("wider drift profile", |j| {
+                let features = elements(member(member(j, "drift"), "features"));
+                let extra = features[0].clone();
+                features.push(extra);
+            }),
+            ("missing bin edge", |j| {
+                let features = elements(member(member(j, "drift"), "features"));
+                elements(member(&mut features[0], "edges")).pop();
+            }),
+            ("extra bin edge", |j| {
+                let features = elements(member(member(j, "drift"), "features"));
+                elements(member(features.last_mut().unwrap(), "edges")).push(Json::Num(1e9));
+            }),
+            ("unsorted bin edges", |j| {
+                let features = elements(member(member(j, "drift"), "features"));
+                let edges = elements(member(&mut features[0], "edges"));
+                edges[0] = Json::Num(f64::MAX);
+            }),
+            ("keep index out of range", |j| {
+                let keep = elements(member(member(j, "pipeline"), "keep"));
+                keep[0] = Json::Int(1 << 40);
+            }),
+            ("product pair out of range", |j| {
+                let pairs = elements(member(member(j, "pipeline"), "pairs"));
+                elements(&mut pairs[0])[1] = Json::Int(1 << 40);
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut json = good.clone();
+            corrupt(&mut json);
+            let text = monitorless_std::json::to_string(&json);
+            let loaded: Result<MonitorlessModel, _> = monitorless_std::json::from_str(&text);
+            let err = loaded
+                .err()
+                .unwrap_or_else(|| panic!("{what}: loaded a corrupt model (width {width})"));
+            let field = if what.contains("range") {
+                "pipeline"
+            } else {
+                "drift"
+            };
+            assert!(err.0.contains(field), "{what}: unexpected error {err}");
+        }
     }
 
     #[test]

@@ -93,7 +93,11 @@ pub struct InstancePrediction {
 #[derive(Debug)]
 pub struct Orchestrator {
     model: Arc<MonitorlessModel>,
-    transformers: HashMap<InstanceId, InstanceTransformer>,
+    /// One transformer per tracked instance, stamped with the last tick
+    /// that saw it.
+    transformers: HashMap<InstanceId, Tracked>,
+    /// Ticks run so far; the stamp of the current tick.
+    tick: u64,
     /// Streaming drift detector over the serving feature rows (`None`
     /// when the model predates drift profiles).
     drift: Option<DriftDetector>,
@@ -112,6 +116,13 @@ pub struct Orchestrator {
     probs: Vec<f64>,
     /// Stage-1–3 working space shared by every instance's transformer.
     scratch: TransformScratch,
+}
+
+/// A tracked instance's transformer and the last tick that saw it.
+#[derive(Debug)]
+struct Tracked {
+    seen: u64,
+    transformer: InstanceTransformer,
 }
 
 /// Journal label keys for the top-k attribution of one prediction.
@@ -133,6 +144,7 @@ impl Orchestrator {
         Orchestrator {
             model,
             transformers: HashMap::new(),
+            tick: 0,
             drift,
             last_trace: 0,
             n_jobs: 1,
@@ -162,6 +174,47 @@ impl Orchestrator {
     /// Number of instances currently tracked.
     pub fn tracked_instances(&self) -> usize {
         self.transformers.len()
+    }
+
+    /// Samples in `instance`'s rolling window (capped at
+    /// [`crate::features::pipeline::WINDOW_LEN`]), or `None` when the
+    /// instance is not tracked.
+    pub fn instance_warmup(&self, instance: InstanceId) -> Option<usize> {
+        self.transformers
+            .get(&instance)
+            .map(|t| t.transformer.warmup())
+    }
+
+    /// Starts a tick: bumps the stamp the tick's instances are marked
+    /// with.
+    fn begin_tick(&mut self) {
+        self.tick += 1;
+        self.live.clear();
+        self.predictions.clear();
+    }
+
+    /// The transformer of `instance`, created cold on first sight and
+    /// stamped as seen at `tick`. (An associated function so the caller
+    /// can keep borrowing its other scratch fields.)
+    fn tracked<'a>(
+        transformers: &'a mut HashMap<InstanceId, Tracked>,
+        model: &MonitorlessModel,
+        tick: u64,
+        instance: InstanceId,
+    ) -> &'a mut InstanceTransformer {
+        let tracked = transformers.entry(instance).or_insert_with(|| Tracked {
+            seen: tick,
+            transformer: model.transformer(),
+        });
+        tracked.seen = tick;
+        &mut tracked.transformer
+    }
+
+    /// Ends a tick: drops the windows of instances this tick did not
+    /// see (scale-in), in one pass over the tracked set.
+    fn evict_departed(&mut self) {
+        let tick = self.tick;
+        self.transformers.retain(|_, t| t.seen == tick);
     }
 
     /// The streaming drift detector, when the model carries a profile.
@@ -196,8 +249,7 @@ impl Orchestrator {
     ///
     /// Propagates feature-pipeline errors.
     pub fn step(&mut self, observations: &[Observation]) -> Result<&[InstancePrediction], Error> {
-        self.live.clear();
-        self.predictions.clear();
+        self.begin_tick();
         let tracing = obs::trace_enabled();
         let trace = if tracing { obs::next_trace() } else { 0 };
         self.last_trace = trace;
@@ -227,11 +279,9 @@ impl Orchestrator {
             for i in 0..observation.n_instances() {
                 let instance = observation.instance_vector_at(i, &mut self.raw);
                 self.live.push(instance);
-                let transformer = self
-                    .transformers
-                    .entry(instance)
-                    .or_insert_with(|| self.model.transformer());
                 let out = &mut self.fleet[row * width..(row + 1) * width];
+                let transformer =
+                    Self::tracked(&mut self.transformers, &self.model, self.tick, instance);
                 transformer.push_into(&self.raw, &mut self.scratch, out)?;
                 row += 1;
             }
@@ -277,8 +327,7 @@ impl Orchestrator {
                 saturated,
             });
         }
-        let live = &self.live;
-        self.transformers.retain(|id, _| live.contains(id));
+        self.evict_departed();
         Ok(&self.predictions)
     }
 
@@ -294,13 +343,14 @@ impl Orchestrator {
         self.step(&report.observations)
     }
 
-    /// The original per-instance serving loop — transform one instance,
+    /// The original per-instance serving loop — transform one instance
+    /// through the row-cloning [`InstanceTransformer::push_legacy`],
     /// predict one row, journal, repeat — retained as the reference
     /// [`Orchestrator::step`] is proven bit-identical against
     /// (probabilities, decisions, drift alerts and journal record
-    /// sequence). Maintains the same rolling windows and drift state,
-    /// so the two paths cannot be interleaved on one orchestrator —
-    /// build twins from the same model to compare.
+    /// sequence). Its windows are the legacy transformer's own, so the
+    /// two paths cannot be interleaved on one orchestrator — build twins
+    /// from the same model to compare.
     ///
     /// # Errors
     ///
@@ -309,8 +359,7 @@ impl Orchestrator {
         &mut self,
         observations: &[Observation],
     ) -> Result<&[InstancePrediction], Error> {
-        self.live.clear();
-        self.predictions.clear();
+        self.begin_tick();
         let tracing = obs::trace_enabled();
         let trace = if tracing { obs::next_trace() } else { 0 };
         self.last_trace = trace;
@@ -331,12 +380,11 @@ impl Orchestrator {
                 self.live.push(instance);
                 let ok = observation.instance_vector_into(instance, &mut self.raw);
                 debug_assert!(ok, "instance listed by the observation");
-                let transformer = self
-                    .transformers
-                    .entry(instance)
-                    .or_insert_with(|| self.model.transformer());
+                let transformer =
+                    Self::tracked(&mut self.transformers, &self.model, self.tick, instance);
                 let predict_span = obs::Span::enter("orchestrator.predict");
-                let features = transformer.push(&self.raw)?;
+                let features = transformer.push_legacy(&self.raw)?;
+                let features = features.as_slice();
                 let (probability, saturated) = self.model.predict_features(features);
                 drop(predict_span);
                 obs::counter_add("orchestrator.predictions", 1);
@@ -366,8 +414,7 @@ impl Orchestrator {
                 });
             }
         }
-        let live = &self.live;
-        self.transformers.retain(|id, _| live.contains(id));
+        self.evict_departed();
         Ok(&self.predictions)
     }
 
@@ -628,6 +675,69 @@ mod tests {
         let preds = orch.step(&report.observations).unwrap().to_vec();
         assert_eq!(preds.len(), 2);
         assert_eq!(orch.tracked_instances(), 2);
+    }
+
+    /// One node's observation at `time` carrying the given instances.
+    fn observation(time: u64, instances: &[u32]) -> Observation {
+        use monitorless_metrics::catalog::Catalog;
+        use monitorless_metrics::signals::{ContainerSignals, HostSignals};
+        let catalog = Catalog::standard();
+        let host = catalog.expand_host(&HostSignals::default(), time, 1);
+        let containers = instances
+            .iter()
+            .map(|&id| {
+                let ctr = ContainerSignals {
+                    cpu_util: 0.1 * f64::from(id),
+                    ..ContainerSignals::default()
+                };
+                (InstanceId(id), catalog.expand_container(&ctr, time, u64::from(id)))
+            })
+            .collect();
+        Observation {
+            node: NodeId(0),
+            time,
+            host,
+            containers,
+        }
+    }
+
+    /// A scale-in drops exactly the departed instances' windows, the
+    /// survivors keep warming, and an id that returns starts cold — on
+    /// the batched tick and the reference loop alike.
+    #[test]
+    fn scale_in_drops_exactly_the_departed_windows() {
+        let model = trained_model();
+        for legacy in [false, true] {
+            let mut orch = Orchestrator::new(Arc::clone(&model));
+            let step = |orch: &mut Orchestrator, time: u64, ids: &[u32]| {
+                let obs = [observation(time, ids)];
+                let n = if legacy {
+                    orch.step_legacy(&obs).unwrap().len()
+                } else {
+                    orch.step(&obs).unwrap().len()
+                };
+                assert_eq!(n, ids.len());
+            };
+            for t in 0..3 {
+                step(&mut orch, t, &[1, 2, 3, 4]);
+            }
+            assert_eq!(orch.tracked_instances(), 4);
+            // Scale in instances 2 and 4.
+            step(&mut orch, 3, &[1, 3]);
+            assert_eq!(orch.tracked_instances(), 2, "legacy={legacy}");
+            assert_eq!(orch.instance_warmup(InstanceId(1)), Some(4));
+            assert_eq!(orch.instance_warmup(InstanceId(3)), Some(4));
+            assert_eq!(orch.instance_warmup(InstanceId(2)), None);
+            assert_eq!(orch.instance_warmup(InstanceId(4)), None);
+            // Instance 2 returns: a fresh, cold window.
+            step(&mut orch, 4, &[1, 2, 3]);
+            assert_eq!(orch.tracked_instances(), 3);
+            assert_eq!(orch.instance_warmup(InstanceId(2)), Some(1));
+            assert_eq!(orch.instance_warmup(InstanceId(1)), Some(5));
+            // An empty tick forgets everyone.
+            step(&mut orch, 5, &[]);
+            assert_eq!(orch.tracked_instances(), 0);
+        }
     }
 
     #[test]

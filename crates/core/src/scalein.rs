@@ -67,8 +67,8 @@ impl ScaleInModel {
 
     /// Creates an online per-instance transformer for this model.
     pub fn transformer(self: &Arc<Self>) -> InstanceTransformer {
-        // Reuse the inner model's pipeline.
-        InstanceTransformer::new(Arc::new(self.inner.pipeline().clone()))
+        // Share the inner model's pipeline and serving plan.
+        self.inner.transformer()
     }
 
     /// Predicts from an already-transformed feature vector:

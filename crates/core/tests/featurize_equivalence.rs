@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use monitorless::features::pipeline::{
     expand_stage_d, expand_stage_d_legacy, FeaturePipeline, FittedPipeline, InstanceTransformer,
-    PipelineConfig, WINDOW_LEN,
+    PipelineConfig, TransformScratch, WINDOW_LEN,
 };
 use monitorless::features::{RawLayout, Reduction, TimeExpander};
 use monitorless_learn::Matrix;
@@ -133,9 +133,10 @@ fn layout() -> RawLayout {
 }
 
 /// Pipeline variants fitted once and shared across all proptest cases:
-/// the quick Select/Select shape, time features off, products off, and a
+/// the quick Select/Select shape, time features off, products off, a
 /// PCA second stage (which exercises the full-stage-D fallback instead
-/// of the selective plan).
+/// of the selective cells) and a PCA first stage (which computes every
+/// stage-C column instead of the plan's selection).
 fn fitted_variants() -> &'static Vec<(&'static str, Arc<FittedPipeline>)> {
     static CELL: OnceLock<Vec<(&'static str, Arc<FittedPipeline>)>> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -163,6 +164,16 @@ fn fitted_variants() -> &'static Vec<(&'static str, Arc<FittedPipeline>)> {
                     reduce2: Reduction::Pca {
                         variance: 0.999,
                         max_components: 8,
+                    },
+                    ..quick
+                },
+            ),
+            (
+                "pca1",
+                PipelineConfig {
+                    reduce1: Reduction::Pca {
+                        variance: 0.999,
+                        max_components: 10,
                     },
                     ..quick
                 },
@@ -323,6 +334,58 @@ fn fit_and_transform_are_n_jobs_independent() {
     for r in 0..a.rows() {
         for (x, y) in a.row(r).iter().zip(b.row(r)) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+}
+
+/// The serving plan's history ring wraps many times over a long-lived
+/// instance: for every fitted variant, `push_into` over three and a
+/// half windows of NaN-bearing samples is bit-identical to the
+/// row-cloning `push_legacy` at every tick. Instances are interleaved
+/// through one shared scratch, as the fleet tick serves them.
+#[test]
+fn ring_wraps_bit_identical_to_legacy_for_every_variant() {
+    const INSTANCES: usize = 3;
+    let ticks = 3 * WINDOW_LEN + WINDOW_LEN / 2 + 1;
+    for (name, fitted) in fitted_variants() {
+        let raw = messy_raw(0xC0FFEE, INSTANCES * ticks, layout().raw_len(), true);
+        let mut scratch = TransformScratch::for_pipeline(fitted);
+        let mut online: Vec<InstanceTransformer> = (0..INSTANCES)
+            .map(|_| InstanceTransformer::new(Arc::clone(fitted)))
+            .collect();
+        let mut legacy = online.clone();
+        let mut out = vec![0.0; fitted.output_width()];
+        for t in 0..ticks {
+            for k in 0..INSTANCES {
+                let sample = raw.row(k * ticks + t);
+                online[k].push_into(sample, &mut scratch, &mut out).unwrap();
+                let reference = legacy[k].push_legacy(sample).unwrap();
+                assert_eq!(out.len(), reference.len(), "{name}");
+                for (c, (a, b)) in out.iter().zip(&reference).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name}: instance {k} tick {t} col {c}");
+                }
+                assert_eq!(online[k].warmup(), (t + 1).min(WINDOW_LEN));
+            }
+        }
+    }
+}
+
+/// The plan keeps history only for the columns a time feature reads,
+/// and none at all without time features.
+#[test]
+fn history_covers_only_time_feature_columns() {
+    for (name, fitted) in fitted_variants() {
+        let plan = fitted.serving_plan();
+        assert!(plan.history_width() <= fitted.reduced_width(), "{name}");
+        let time_outputs = fitted
+            .feature_names()
+            .iter()
+            .filter(|n| n.contains("-AVG") || n.contains("-LAG"))
+            .count();
+        match *name {
+            "no_time" => assert_eq!(plan.history_width(), 0, "{name}"),
+            "pca2" => assert_eq!(plan.history_width(), fitted.reduced_width(), "{name}"),
+            _ => assert!(plan.history_width() <= time_outputs, "{name}"),
         }
     }
 }
