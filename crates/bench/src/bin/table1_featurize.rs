@@ -37,48 +37,17 @@
 //! (coarse — it must survive CI machine variance) or a same-run
 //! speedup over the legacy chain below 1.5x.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use monitorless::features::{
     FeaturePipeline, FittedPipeline, InstanceTransformer, PipelineConfig, RawLayout,
 };
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_learn::Matrix;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state online push never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -288,7 +257,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     // Timed streaming pass. The windows are full, every scratch buffer
     // is at capacity: the loop must not allocate at all.
     let mut sink = 0.0;
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..timed_ticks {
         for (i, s) in streaming.iter_mut().enumerate() {
@@ -300,7 +269,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     }
     let pushes = (timed_ticks * instances) as f64;
     let streaming_us = t0.elapsed().as_secs_f64() * 1e6 / pushes;
-    let streaming_allocs = (ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0) as f64 / pushes;
+    let streaming_allocs = (alloc_events() - alloc0) as f64 / pushes;
     assert!(sink.is_finite());
     assert!(
         streaming_allocs == 0.0,
@@ -310,7 +279,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
 
     // Timed legacy pass on the twin fleet, same tick schedule.
     let mut sink = 0.0;
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..timed_ticks {
         for (i, l) in legacy.iter_mut().enumerate() {
@@ -321,7 +290,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
         }
     }
     let legacy_us = t0.elapsed().as_secs_f64() * 1e6 / pushes;
-    let legacy_allocs = (ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0) as f64 / pushes;
+    let legacy_allocs = (alloc_events() - alloc0) as f64 / pushes;
     assert!(sink.is_finite());
 
     let r = TickResult {
@@ -338,11 +307,7 @@ fn measure_tick(fitted: &Arc<FittedPipeline>, raw_width: usize, seed: u64) -> Ti
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -373,18 +338,7 @@ fn main() {
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_featurize.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_featurize.json");
 
     // One fitted pipeline serves every sweep size; fitting cost is not
     // what this bench measures. The raw shape is the real catalog.
@@ -421,26 +375,7 @@ fn main() {
         tick: measure_tick(&fitted, raw_width, scale.seed),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table1_featurize");
+    std::process::exit(code);
 }

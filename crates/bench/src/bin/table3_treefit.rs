@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{telemetry_report, SnapshotGate};
 use monitorless_learn::model_selection::{GridSearch, KFold, ParamGrid, ParamValue};
 use monitorless_learn::tree::{DecisionTree, DecisionTreeParams, MaxFeatures, SplitCriterion};
 use monitorless_learn::{Classifier, Matrix, RandomForest, RandomForestParams};
@@ -290,11 +290,7 @@ fn measure_grid(rows: usize, seed: u64) -> GridResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -322,18 +318,7 @@ fn main() {
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_table3.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_table3.json");
 
     let sizes: &[usize] = if scale.full {
         &[1_000, 10_000, 50_000]
@@ -351,26 +336,7 @@ fn main() {
         grid: measure_grid(1_000, scale.seed),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table3_treefit");
+    std::process::exit(code);
 }

@@ -34,43 +34,12 @@
 //! it must survive CI machine variance) or a same-run speedup over the
 //! legacy walk below 1.5x.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_learn::{Classifier, Matrix, RandomForest, RandomForestParams};
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the flat tick path never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -255,13 +224,13 @@ fn measure_ticks(x: &Matrix, ticks: usize, mut f: impl FnMut(&[f64]) -> f64) -> 
     for r in 0..64.min(x.rows()) {
         sink += f(x.row(r));
     }
-    let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let alloc0 = alloc_events();
     let t0 = Instant::now();
     for t in 0..ticks {
         sink += f(x.row(t % x.rows()));
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / ticks as f64;
-    let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0;
+    let allocs = alloc_events() - alloc0;
     assert!(sink.is_finite());
     (us, allocs as f64 / ticks as f64)
 }
@@ -297,11 +266,7 @@ fn measure_tick(forest: &RandomForest, seed: u64) -> TickResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         let Some(baseline) = committed.sizes.iter().find(|s| s.rows == current.rows) else {
             continue;
@@ -330,18 +295,7 @@ fn main() {
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_predict.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_predict.json");
 
     // One paper-shaped forest serves every sweep size; training cost is
     // not what this bench measures.
@@ -375,26 +329,7 @@ fn main() {
         tick: measure_tick(&forest, scale.seed),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table7_predict");
+    std::process::exit(code);
 }

@@ -32,7 +32,7 @@ use monitorless::autoscale::backend::{
 };
 use monitorless::autoscale::bakeoff::{run_cell, BakeoffOptions, CellOutcome};
 use monitorless::model::MonitorlessModel;
-use monitorless_bench::{telemetry_report, trained_model, Scale};
+use monitorless_bench::{telemetry_report, trained_model, Scale, SnapshotGate};
 use monitorless_obs as obs;
 use monitorless_workload::scenario::Scenario;
 
@@ -122,12 +122,7 @@ fn monitorless_wins(report: &BenchReport) -> Vec<String> {
     wins
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
-
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     // The headline claim must hold in the committed snapshot AND keep
     // reproducing in the fresh run.
     for (who, rep) in [("committed snapshot", &committed), ("fresh run", report)] {
@@ -181,43 +176,14 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 
 fn main() {
     let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_bakeoff.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_bakeoff.json");
 
     let model = trained_model(&scale);
     let report = run_matrix(&scale, &model);
     let wins = monitorless_wins(&report);
     obs::progress(&format!("monitorless wins on {} scenario(s): {:?}", wins.len(), wins));
 
-    if let Some(path) = check_path {
-        // Only write the fresh matrix when asked explicitly — never
-        // clobber the committed baseline from a check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("bake-off check passed against {path}"),
-            Err(msg) => {
-                eprintln!("bake-off check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("bake-off check", &report, check);
     telemetry_report("table_bakeoff");
+    std::process::exit(code);
 }

@@ -37,43 +37,12 @@
 //! measured size (a real record-path regression is size-independent;
 //! single-size excursions are CI noise).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_learn::{Classifier, FlatEnsemble, Matrix, RandomForest, RandomForestParams};
 use monitorless_obs as obs;
 use monitorless_std::rng::{Rng, StdRng};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the attribution-off serving path never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -231,13 +200,13 @@ fn measure_size(flat: &FlatEnsemble, n_trees: usize, rows: usize, seed: u64) -> 
     let mut plain_allocs = 0u64;
     for _ in 0..reps {
         // --- plain: tracing off, must be allocation-free ---
-        let alloc0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+        let alloc0 = alloc_events();
         plain_ms = plain_ms.min(time_ms(1, || {
             for (r, p) in plain.iter_mut().enumerate() {
                 *p = flat.predict_row(x.row(r));
             }
         }));
-        plain_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - alloc0;
+        plain_allocs += alloc_events() - alloc0;
 
         // --- traced: one ring-journal record per row ---
         set_trace(obs::TraceMode::Ring);
@@ -334,11 +303,7 @@ fn measure_journal() -> JournalResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     // The journal gate fires only when every size exceeds the limit: a
     // real regression in the record path is size-independent, while a
     // noise burst on a shared CI core hits one measurement at a time.
@@ -381,18 +346,7 @@ fn main() {
     if !obs::enabled() {
         obs::init(&obs::TelemetryConfig::with_format(obs::ExportFormat::Prom));
     }
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_obs.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_obs.json");
 
     obs::progress("training paper-shaped forest (250 trees, 20k rows)...");
     let (xt, yt) = dataset(20_000, 30, scale.seed);
@@ -426,26 +380,7 @@ fn main() {
         journal: measure_journal(),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("obs overhead check passed against {path}"),
-            Err(msg) => {
-                eprintln!("obs overhead check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("obs overhead check", &report, check);
     telemetry_report("table_obs");
+    std::process::exit(code);
 }

@@ -27,8 +27,8 @@
 //! per node, KPIs and container ticks — is asserted bit-identical to
 //! the dense loop's, and a counting global allocator asserts the
 //! steady-state event tick (`n_jobs` 1) performs **zero** heap
-//! allocations (skipped when `--telemetry` is on, which allocates by
-//! design). A 4-worker column is reported for information; it
+//! allocations (skipped when telemetry is on, by flag or by
+//! `MONITORLESS_OBS`, since it allocates by design). A 4-worker column is reported for information; it
 //! allocates on pool spawn and is not part of the 0-alloc contract.
 //!
 //! `--check <path>` re-measures at the current scale and exits
@@ -37,46 +37,15 @@
 //! the dense loop below 3x at fleets >= 1k nodes, or a committed
 //! 10k-node row below the 5x-speedup / faster-than-real-time floor.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_metrics::NodeId;
 use monitorless_obs as obs;
 use monitorless_sim::{
     AppId, Cluster, ContainerLimits, EventSim, NodeSpec, ServiceProfile, ServiceRole, TickReport,
 };
 use monitorless_workload::{LoadProfile, SteppedProfile, TraceProfile};
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state event tick never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -300,11 +269,11 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) 
         let mut td = 0.0;
         for _ in 0..ticks {
             let loads = loads_at(t);
-            let a0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let a0 = alloc_events();
             let t0 = Instant::now();
             let got = event.step();
             te += t0.elapsed().as_secs_f64();
-            event_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - a0;
+            event_allocs += alloc_events() - a0;
             let t1 = Instant::now();
             let want = dense.step_dense_legacy(&loads);
             td += t1.elapsed().as_secs_f64();
@@ -365,11 +334,7 @@ fn measure_size(n_nodes: usize, seed: u64, par_jobs: usize, telemetry_on: bool) 
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if let Some(baseline) = committed.sizes.iter().find(|s| s.nodes == current.nodes) {
             if current.event_ms_per_tick > 2.0 * baseline.event_ms_per_tick {
@@ -409,19 +374,8 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 
 fn main() {
     let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let telemetry_on = args.iter().any(|a| a == "--telemetry");
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_sim.json".into());
+    let telemetry_on = obs::enabled();
+    let gate = SnapshotGate::from_args("results/BENCH_sim.json");
 
     let sizes: &[usize] = if scale.full {
         &[100, 1_000, 10_000]
@@ -444,26 +398,7 @@ fn main() {
             .collect(),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table_sim");
+    std::process::exit(code);
 }

@@ -33,48 +33,17 @@
 //! than 2x the committed snapshot for the same fleet size, or a
 //! same-run speedup over the legacy loop below 1.5x at fleets >= 1k.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use monitorless::model::{ModelOptions, MonitorlessModel};
 use monitorless::orchestrator::{InstancePrediction, Orchestrator};
 use monitorless::training::generate_training_data;
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_learn::RandomForestParams;
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the steady-state batched tick never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -346,11 +315,11 @@ fn measure_size(model: &Arc<MonitorlessModel>, n: usize) -> SizeResult {
         let mut tl = 0.0;
         for _ in 0..ticks {
             let observed = &cycle[tick_no % cycle.len()];
-            let a0 = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let a0 = alloc_events();
             let t0 = Instant::now();
             let b = batched.step(observed).expect("batched tick");
             tb += t0.elapsed().as_secs_f64();
-            batched_allocs += ALLOC_EVENTS.load(Ordering::Relaxed) - a0;
+            batched_allocs += alloc_events() - a0;
             let t1 = Instant::now();
             let l = legacy.step_legacy(observed).expect("legacy tick");
             tl += t1.elapsed().as_secs_f64();
@@ -393,11 +362,7 @@ fn measure_size(model: &Arc<MonitorlessModel>, n: usize) -> SizeResult {
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if let Some(baseline) = committed
             .sizes
@@ -427,18 +392,7 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 
 fn main() {
     let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_tick.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_tick.json");
 
     let model = tick_model(scale.seed);
     let flat = model.flat();
@@ -470,26 +424,7 @@ fn main() {
         sizes: sizes.iter().map(|&n| measure_size(&model, n)).collect(),
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table_tick");
+    std::process::exit(code);
 }

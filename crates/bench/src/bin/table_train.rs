@@ -37,48 +37,17 @@
 //! 4; on smaller hosts the check logs the skip and still verifies
 //! byte identity.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use monitorless::adapt::{RetrainParams, ShadowRetrainer};
 use monitorless::training::{
     generate_training_data, run_fresh_episode, table1, TrainingData, TrainingOptions,
 };
-use monitorless_bench::telemetry_report;
+use monitorless_bench::{alloc_events, telemetry_report, CountingAlloc, SnapshotGate};
 use monitorless_learn::{Classifier, Matrix, MatrixBuilder, PresortedDataset, RandomForest};
 use monitorless_metrics::catalog::Catalog;
 use monitorless_metrics::{InstanceId, NodeId, Observation};
 use monitorless_obs as obs;
-
-/// System allocator wrapper counting allocation events, so the bench
-/// can prove the zero-copy assembly loop never touches the heap.
-struct CountingAlloc;
-
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -230,14 +199,14 @@ fn measure_assembly(rows: usize) -> PhaseResult {
         {
             let mut regions = builder.regions_mut();
             let region = regions.next().expect("one region");
-            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+            let before = alloc_events();
             for o in &observations {
                 let row = &mut region[written * width..(written + 1) * width];
                 if o.instance_vector_write(inst, row) {
                     written += 1;
                 }
             }
-            loop_allocs = loop_allocs.min(ALLOC_EVENTS.load(Ordering::Relaxed) - before);
+            loop_allocs = loop_allocs.min(alloc_events() - before);
         }
         builder.finish(&[written])
     });
@@ -404,11 +373,7 @@ fn measure_retrain(
     r
 }
 
-fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed: BenchReport = monitorless_std::json::from_str(&text)
-        .map_err(|e| format!("cannot parse {committed_path}: {e}"))?;
+fn check(report: &BenchReport, committed: BenchReport) -> Result<(), String> {
     for current in &report.sizes {
         if current.identical != 1.0 {
             return Err(format!("phase {} skipped its identity assertion", current.phase));
@@ -456,18 +421,7 @@ fn check(report: &BenchReport, committed_path: &str) -> Result<(), String> {
 
 fn main() {
     let scale = monitorless_bench::Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let arg_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = arg_value("--check");
-    let out_flag = arg_value("--out");
-    let out_path = out_flag
-        .clone()
-        .unwrap_or_else(|| "results/BENCH_train.json".into());
+    let gate = SnapshotGate::from_args("results/BENCH_train.json");
 
     let gen_opts = scale.training_options();
     let (assembly_rows, append_rows) = if scale.full {
@@ -493,26 +447,7 @@ fn main() {
         ],
     };
 
-    if let Some(path) = check_path {
-        // Only write the fresh measurement when the caller asked for it
-        // explicitly — never clobber the committed baseline from a
-        // check run.
-        if out_flag.is_some() {
-            let json = monitorless_std::json::to_string(&report);
-            std::fs::write(&out_path, json + "\n").expect("write report");
-        }
-        match check(&report, &path) {
-            Ok(()) => println!("perf check passed against {path}"),
-            Err(msg) => {
-                eprintln!("perf check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let json = monitorless_std::json::to_string(&report);
-        std::fs::write(&out_path, json.clone() + "\n").expect("write report");
-        println!("{json}");
-        println!("report written to {out_path}");
-    }
+    let code = gate.finish("perf check", &report, check);
     telemetry_report("table_train");
+    std::process::exit(code);
 }

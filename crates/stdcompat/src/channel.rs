@@ -1,82 +1,44 @@
-//! Bounded and unbounded MPSC channels replacing `crossbeam::channel`.
+//! Bounded and unbounded MPSC channels over [`std::sync::mpsc`].
 //!
-//! The std backend maps [`bounded`] onto [`std::sync::mpsc::sync_channel`]
-//! and [`unbounded`] onto [`std::sync::mpsc::channel`], unifying both
+//! [`bounded`] maps onto [`std::sync::mpsc::sync_channel`] and
+//! [`unbounded`] onto [`std::sync::mpsc::channel`], unifying both
 //! sender flavours behind one cloneable [`Sender`]. Error types are the
 //! std ones re-exported, so call sites match on
 //! [`TryRecvError::Empty`]/[`Disconnected`](TryRecvError::Disconnected)
 //! exactly as they would with std channels.
 
+use std::sync::mpsc;
 pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
 use std::time::Duration;
 
 /// Creates a channel with a bounded buffer; sends block while full.
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    imp::bounded(capacity)
+    let (tx, rx) = mpsc::sync_channel(capacity);
+    (Sender(Flavor::Bounded(tx)), Receiver(rx))
 }
 
 /// Creates a channel with an unbounded buffer; sends never block.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    imp::unbounded()
+    let (tx, rx) = mpsc::channel();
+    (Sender(Flavor::Unbounded(tx)), Receiver(rx))
 }
 
-#[cfg(not(feature = "ext"))]
-mod imp {
-    use std::sync::mpsc;
-
-    pub(super) fn bounded<T>(capacity: usize) -> (super::Sender<T>, super::Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        (super::Sender(Flavor::Bounded(tx)), super::Receiver(rx))
-    }
-
-    pub(super) fn unbounded<T>() -> (super::Sender<T>, super::Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (super::Sender(Flavor::Unbounded(tx)), super::Receiver(rx))
-    }
-
-    #[derive(Debug)]
-    pub(super) enum Flavor<T> {
-        Bounded(mpsc::SyncSender<T>),
-        Unbounded(mpsc::Sender<T>),
-    }
-
-    impl<T> Clone for Flavor<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
-                Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
-            }
-        }
-    }
-
-    pub(super) type Rx<T> = mpsc::Receiver<T>;
-}
-
-#[cfg(feature = "ext")]
-mod imp {
-    use crossbeam::channel;
-
-    pub(super) fn bounded<T>(capacity: usize) -> (super::Sender<T>, super::Receiver<T>) {
-        let (tx, rx) = channel::bounded(capacity);
-        (super::Sender(tx), super::Receiver(rx))
-    }
-
-    pub(super) fn unbounded<T>() -> (super::Sender<T>, super::Receiver<T>) {
-        let (tx, rx) = channel::unbounded();
-        (super::Sender(tx), super::Receiver(rx))
-    }
-
-    pub(super) type Flavor<T> = channel::Sender<T>;
-    pub(super) type Rx<T> = channel::Receiver<T>;
+#[derive(Debug)]
+enum Flavor<T> {
+    Bounded(mpsc::SyncSender<T>),
+    Unbounded(mpsc::Sender<T>),
 }
 
 /// The sending half of a channel; cloneable across producer threads.
 #[derive(Debug)]
-pub struct Sender<T>(imp::Flavor<T>);
+pub struct Sender<T>(Flavor<T>);
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        Sender(self.0.clone())
+        Sender(match &self.0 {
+            Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
+            Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
+        })
     }
 }
 
@@ -87,19 +49,16 @@ impl<T> Sender<T> {
     ///
     /// Returns the value back if the receiver has disconnected.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        #[cfg(not(feature = "ext"))]
         match &self.0 {
-            imp::Flavor::Bounded(tx) => tx.send(value),
-            imp::Flavor::Unbounded(tx) => tx.send(value),
+            Flavor::Bounded(tx) => tx.send(value),
+            Flavor::Unbounded(tx) => tx.send(value),
         }
-        #[cfg(feature = "ext")]
-        self.0.send(value).map_err(|e| SendError(e.into_inner()))
     }
 }
 
 /// The receiving half of a channel.
 #[derive(Debug)]
-pub struct Receiver<T>(imp::Rx<T>);
+pub struct Receiver<T>(mpsc::Receiver<T>);
 
 impl<T> Receiver<T> {
     /// Blocks until a value arrives.
@@ -109,10 +68,7 @@ impl<T> Receiver<T> {
     /// Returns [`RecvError`] once all senders have disconnected and the
     /// buffer is drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        #[cfg(not(feature = "ext"))]
-        return self.0.recv();
-        #[cfg(feature = "ext")]
-        self.0.recv().map_err(|_| RecvError)
+        self.0.recv()
     }
 
     /// Returns a buffered value without blocking.
@@ -122,13 +78,7 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Empty`] when no value is buffered,
     /// [`TryRecvError::Disconnected`] after all senders hung up.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        #[cfg(not(feature = "ext"))]
-        return self.0.try_recv();
-        #[cfg(feature = "ext")]
-        self.0.try_recv().map_err(|e| match e {
-            crossbeam::channel::TryRecvError::Empty => TryRecvError::Empty,
-            crossbeam::channel::TryRecvError::Disconnected => TryRecvError::Disconnected,
-        })
+        self.0.try_recv()
     }
 
     /// Blocks until a value arrives or `timeout` elapses.
@@ -138,13 +88,7 @@ impl<T> Receiver<T> {
     /// [`RecvTimeoutError::Timeout`] on expiry,
     /// [`RecvTimeoutError::Disconnected`] after all senders hung up.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        #[cfg(not(feature = "ext"))]
-        return self.0.recv_timeout(timeout);
-        #[cfg(feature = "ext")]
-        self.0.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
+        self.0.recv_timeout(timeout)
     }
 
     /// An iterator draining values until all senders disconnect.

@@ -15,12 +15,9 @@
 //!   `crossbeam::channel`.
 //! - [`pool`] — scoped worker pools replacing `crossbeam::thread`.
 //!
-//! The off-by-default `ext` cargo feature swaps the [`sync`],
-//! [`channel`] and [`pool`] backends to the original external crates
-//! (`parking_lot`, `crossbeam`) and exposes a `rand`-backed generator
-//! in [`rng`], with the same public API either way. The [`rng`] default
-//! generator and [`json`] codec are always in-tree so that seeded runs
-//! and saved models are identical in both configurations.
+//! Every backend is the standard library's (or in-tree code on top of
+//! it): there is one configuration, and seeded runs and saved models
+//! depend on nothing outside the repository.
 
 pub mod channel;
 pub mod json;

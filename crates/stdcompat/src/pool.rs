@@ -1,9 +1,7 @@
-//! Scoped worker pools replacing `crossbeam::thread::scope`.
+//! Scoped worker pools over [`std::thread::scope`].
 //!
 //! Training fans work out over borrowed data (the feature matrix, the
 //! label vector); scoped threads let workers borrow instead of clone.
-//! The std backend uses [`std::thread::scope`]; the `ext` feature swaps
-//! in `crossbeam::thread::scope`, which predates it.
 
 /// Splits `items` into `n_workers` contiguous chunks and runs
 /// `work(chunk_index, chunk)` on each chunk in its own scoped thread.
@@ -29,7 +27,12 @@ where
         work(0, items);
         return;
     }
-    imp::scope_chunks(items, chunk_size, &work);
+    std::thread::scope(|scope| {
+        for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
+            let work = &work;
+            scope.spawn(move || work(chunk_idx, chunk));
+        }
+    });
 }
 
 /// Runs `work(index, item)` once per item, with `n_workers` scoped
@@ -57,7 +60,7 @@ where
         return;
     }
     let queue = std::sync::Mutex::new(items.chunks_mut(1).enumerate());
-    imp::scope_workers(n_workers, &|| loop {
+    let worker = || loop {
         let next = queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -65,6 +68,11 @@ where
         match next {
             Some((i, cell)) => work(i, &mut cell[0]),
             None => break,
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..n_workers {
+            scope.spawn(worker);
         }
     });
 }
@@ -91,60 +99,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("all slots are filled by workers"))
         .collect()
-}
-
-#[cfg(not(feature = "ext"))]
-mod imp {
-    pub(super) fn scope_chunks<T, F>(items: &mut [T], chunk_size: usize, work: &F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
-                scope.spawn(move || work(chunk_idx, chunk));
-            }
-        });
-    }
-
-    pub(super) fn scope_workers<F>(n_workers: usize, worker: &F)
-    where
-        F: Fn() + Sync,
-    {
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(worker);
-            }
-        });
-    }
-}
-
-#[cfg(feature = "ext")]
-mod imp {
-    pub(super) fn scope_chunks<T, F>(items: &mut [T], chunk_size: usize, work: &F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        crossbeam::thread::scope(|scope| {
-            for (chunk_idx, chunk) in items.chunks_mut(chunk_size).enumerate() {
-                scope.spawn(move |_| work(chunk_idx, chunk));
-            }
-        })
-        .expect("scoped worker thread panicked");
-    }
-
-    pub(super) fn scope_workers<F>(n_workers: usize, worker: &F)
-    where
-        F: Fn() + Sync,
-    {
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                scope.spawn(move |_| worker());
-            }
-        })
-        .expect("scoped worker thread panicked");
-    }
 }
 
 #[cfg(test)]
